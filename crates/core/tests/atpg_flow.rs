@@ -1,12 +1,22 @@
 //! Flow-level ATPG regressions on the synthesized SRC: fault collapsing
 //! must not change the detected set, and `run_atpg_flow` must be
-//! bit-identical regardless of PPSFP thread count or partitioning.
+//! bit-identical regardless of PPSFP thread count.
+
+use std::sync::{Mutex, MutexGuard};
 
 use scflow::models::rtl::{build_rtl_src, RtlVariant};
 use scflow::SrcConfig;
 use scflow_gate::fault::{all_fault_sites, collapse_faults, fault_coverage};
 use scflow_gate::{generate_tests, AtpgOptions, CellLibrary};
 use scflow_synth::rtl::{synthesize, SynthOptions};
+
+/// Serialises the tests of this file: one of them sets
+/// `SCFLOW_FAULT_THREADS`, which every fault-simulation run reads.
+static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A reduced budget keeps the runs to a couple of seconds each; the
 /// properties under test do not depend on closing full coverage.
@@ -24,6 +34,7 @@ fn quick_opts() -> AtpgOptions {
 /// the detected set of simulating the full uncollapsed fault list.
 #[test]
 fn collapsed_and_uncollapsed_detected_sets_agree_on_src() {
+    let _env = env_lock();
     let cfg = SrcConfig::cd_to_dvd();
     let lib = CellLibrary::generic_025u();
     let module = build_rtl_src(&cfg, RtlVariant::Optimised).expect("rtl");
@@ -49,29 +60,18 @@ fn collapsed_and_uncollapsed_detected_sets_agree_on_src() {
 
 /// `run_atpg_flow` output — patterns, per-fault classes, and the
 /// coverage curve — must not depend on how the PPSFP stages are
-/// scheduled. Env knobs are varied sequentially inside one test to
-/// avoid races with the process-wide environment.
+/// scheduled. The thread count is varied sequentially inside one test,
+/// under the file's environment lock.
 #[test]
 fn atpg_flow_deterministic_across_thread_counts() {
+    let _env = env_lock();
     let cfg = SrcConfig::cd_to_dvd();
     let lib = CellLibrary::generic_025u();
     let opts = quick_opts();
 
-    let configs: [(&str, Option<&str>); 6] = [
-        ("1", None),
-        ("2", None),
-        ("4", None),
-        ("8", None),
-        ("2", Some("1")),
-        ("4", Some("1")),
-    ];
     let mut reference = None;
-    for (threads, part) in configs {
+    for threads in ["1", "2", "4", "8"] {
         std::env::set_var("SCFLOW_FAULT_THREADS", threads);
-        match part {
-            Some(v) => std::env::set_var("SCFLOW_FAULT_PARTITIONED", v),
-            None => std::env::remove_var("SCFLOW_FAULT_PARTITIONED"),
-        }
         let (report, result) = scflow::flow::run_atpg_flow(&cfg, &lib, &opts).expect("flow");
         let key = (result.patterns, result.classes, result.stats.curve);
         match &reference {
@@ -82,8 +82,7 @@ fn atpg_flow_deterministic_across_thread_counts() {
                     .or_else(|| scflow_testkit::first_divergence("curve", curve, &key.2));
                 assert!(
                     div.is_none(),
-                    "ATPG output diverged at SCFLOW_FAULT_THREADS={threads} \
-                     SCFLOW_FAULT_PARTITIONED={part:?}: {}",
+                    "ATPG output diverged at SCFLOW_FAULT_THREADS={threads}: {}",
                     div.unwrap()
                 );
                 assert_eq!(ref_cov, &report.coverage_pct);
@@ -91,5 +90,4 @@ fn atpg_flow_deterministic_across_thread_counts() {
         }
     }
     std::env::remove_var("SCFLOW_FAULT_THREADS");
-    std::env::remove_var("SCFLOW_FAULT_PARTITIONED");
 }

@@ -1,11 +1,11 @@
 //! Shared toggle-coverage plumbing for the gate-level engines.
 //!
-//! All three engines track the same item list — one single-bit item per
-//! cell output, named after the output net, in instance order — and
-//! sample settled four-valued values at the end of every tick. Because
-//! the engines agree on per-cycle settled values (the differential
-//! suites pin this), the resulting maps are byte-identical across the
-//! event-driven, levelized and bit-parallel engines.
+//! Both engines track the same item list — one single-bit item per cell
+//! output, named after the output net, in instance order — and sample
+//! settled four-valued values at the end of every tick. Because the
+//! engines agree on per-cycle settled values (the differential suites
+//! pin this), the resulting maps are byte-identical across the
+//! event-driven and bit-parallel engines.
 
 use crate::netlist::GateNetlist;
 use scflow_hwtypes::Logic;

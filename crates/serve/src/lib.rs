@@ -47,8 +47,9 @@ use session::{Req, Resp, SessionMgr};
 
 /// Protocol version reported by `ping`. Additive changes (new ops, new
 /// optional fields) keep the version; anything that changes the meaning
-/// or type of an existing field bumps it.
-pub const PROTOCOL_VERSION: i64 = 1;
+/// or type of an existing field bumps it, and so does removing an
+/// engine name (version 2 removed two gate engines; see `DESIGN.md`).
+pub const PROTOCOL_VERSION: i64 = 2;
 
 /// The server: session table, compile cache and request counters. All
 /// methods take `&self`, so one server can be driven from many

@@ -7,14 +7,12 @@
 use scflow::prelude::ServeOptions;
 use scflow_serve::Server;
 
-const ENGINES: [&str; 7] = [
+const ENGINES: [&str; 5] = [
     "rtl.interpreted",
     "rtl.compiled",
     "rtl.bitpar",
     "gate.event",
-    "gate.fast",
     "gate.bitpar",
-    "gate.partitioned",
 ];
 
 fn open(server: &Server, design: &str, engine: &str) -> String {
@@ -148,19 +146,4 @@ fn rtl_and_gate_sessions_agree_on_outputs() {
     // coverage/metrics legitimately differ across refinement levels.
     assert_eq!(rtl_log[0], gate_log[0]);
     assert_eq!(rtl_log[1], gate_log[1]);
-}
-
-#[test]
-fn partitioned_session_matches_the_serial_gate_engines() {
-    // The owning-handle partitioned session must be byte-identical to
-    // the single-threaded bit-parallel session on outputs AND the
-    // coverage map — only the metrics prefix may differ.
-    let server = Server::new(&ServeOptions::default());
-    let bitpar = open(&server, "rtl_opt", "gate.bitpar");
-    let par = open(&server, "rtl_opt", "gate.partitioned");
-    let bitpar_log = workload(&server, &bitpar);
-    let par_log = workload(&server, &par);
-    assert_eq!(bitpar_log[0], par_log[0], "batch outputs diverged");
-    assert_eq!(bitpar_log[1], par_log[1], "peek diverged");
-    assert_eq!(bitpar_log[2], par_log[2], "coverage map diverged");
 }

@@ -33,12 +33,12 @@ fn ping_reply_is_byte_stable() {
     let s = server();
     assert_eq!(
         s.handle_line(r#"{"id":7,"op":"ping"}"#),
-        r#"{"id":7,"ok":true,"server":"scflow-serve","protocol":1}"#
+        r#"{"id":7,"ok":true,"server":"scflow-serve","protocol":2}"#
     );
     // `id` is echoed verbatim, including string ids.
     assert_eq!(
         s.handle_line(r#"{"id":"x","op":"ping"}"#),
-        r#"{"id":"x","ok":true,"server":"scflow-serve","protocol":1}"#
+        r#"{"id":"x","ok":true,"server":"scflow-serve","protocol":2}"#
     );
 }
 
@@ -56,10 +56,14 @@ fn every_documented_error_code_is_reachable() {
         r#"{"id":1,"op":"open_session","design":"nope","engine":"rtl.compiled"}"#,
         "unknown_design",
     );
-    check(
-        r#"{"id":1,"op":"open_session","design":"rtl_opt","engine":"rtl.jit"}"#,
-        "unknown_engine",
-    );
+    // Protocol version 2 removed `gate.fast` and `gate.partitioned`;
+    // they are refused like any other unknown name.
+    for engine in ["rtl.jit", "gate.fast", "gate.partitioned"] {
+        check(
+            &format!(r#"{{"id":1,"op":"open_session","design":"rtl_opt","engine":"{engine}"}}"#),
+            "unknown_engine",
+        );
+    }
     check(r#"{"id":1,"op":"peek","session":"s99","port":"out_sample"}"#, "unknown_session");
 
     let sid = open(&s, "rtl_opt", "rtl.compiled", false);
