@@ -54,7 +54,14 @@ fn gen_netlist(gates: usize) -> GateNetlist {
 
 fn main() {
     let lib = CellLibrary::generic_025u();
-    let opts = AtpgOptions::default();
+    // The documented baseline, on `SCFLOW_FAULT_THREADS` workers.
+    let opts = AtpgOptions {
+        threads: scflow::flow::FlowOptions::from_env()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .atpg
+            .threads,
+        ..AtpgOptions::default()
+    };
 
     let cfg = SrcConfig::cd_to_dvd();
     let rtl_module = build_rtl_src(&cfg, RtlVariant::Optimised).expect("rtl");

@@ -9,7 +9,8 @@
 use scflow::models::rtl::{build_rtl_src, RtlVariant};
 use scflow::SrcConfig;
 use scflow_gate::fault::{
-    all_fault_sites, fault_coverage, fault_coverage_serial, random_patterns, CoverageResult,
+    all_fault_sites, fault_coverage_serial, fault_coverage_with_threads, random_patterns,
+    CoverageResult,
 };
 use scflow_gate::CellLibrary;
 use scflow_synth::rtl::{synthesize, SynthOptions};
@@ -27,6 +28,10 @@ fn main() {
     let stride = (all_faults.len() / 32).max(1);
     let subset: Vec<_> = all_faults.iter().copied().step_by(stride).collect();
     let patterns = random_patterns(&gate_rtl, 16, 0xBEEF);
+    let threads = scflow::flow::FlowOptions::from_env()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .atpg
+        .threads;
 
     let mut h = Harness::new("fault_coverage").with_iters(3).with_warmup(1);
 
@@ -43,7 +48,7 @@ fn main() {
     h.metric("coverage_pct", serial.coverage_pct());
 
     h.bench("fault_ppsfp_subset", || {
-        let r = fault_coverage(&gate_rtl, &lib, &subset, &patterns);
+        let r = fault_coverage_with_threads(&gate_rtl, &lib, &subset, &patterns, threads);
         assert_eq!(
             r.detected_mask, serial.detected_mask,
             "PPSFP detected set diverged from the serial reference"
@@ -58,7 +63,7 @@ fn main() {
 
     let mut full_pct = 0.0;
     h.bench("fault_ppsfp_full", || {
-        let r = fault_coverage(&gate_rtl, &lib, &all_faults, &patterns);
+        let r = fault_coverage_with_threads(&gate_rtl, &lib, &all_faults, &patterns, threads);
         full_pct = r.coverage_pct();
         full_pct
     });

@@ -40,15 +40,8 @@ fn main() {
         eprintln!("known flags: {}", KNOWN_FLAGS.join(" "));
         std::process::exit(2);
     }
-    // The `SCFLOW_METRICS` / `SCFLOW_PROFILE` environment knobs act as
-    // implicit `--coverage` / `--profile` flags.
-    let has = |f: &str| {
-        args.iter().any(|a| a == f)
-            || args.iter().any(|a| a == "--all")
-            || (f == "--coverage" && scflow_obs::metrics_enabled())
-            || (f == "--profile" && scflow_obs::profile_enabled())
-    };
-    if args.is_empty() && !has("--coverage") && !has("--profile") || has("--help") {
+    let has = |f: &str| args.iter().any(|a| a == f || a == "--all");
+    if args.is_empty() || args.iter().any(|a| a == "--help") {
         eprintln!(
             "usage: tables [--down] [--all] [--verify] [--fig7] [--fig8] [--fig9] \
              [--fig10] [--timing] [--fault] [--atpg] [--check-atpg] \
@@ -59,6 +52,23 @@ fn main() {
         );
         std::process::exit(2);
     }
+    // The environment is read here, once; everything below takes values.
+    let opts = scflow::flow::FlowOptions::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    // Optional floor assert for CI: SCFLOW_ATPG_MIN=95 fails `--atpg`
+    // below that collapsed stuck-at coverage. A floor that does not
+    // parse must not pass as no floor at all.
+    let atpg_min = std::env::var_os("SCFLOW_ATPG_MIN")
+        .map(|v| v.to_string_lossy().trim().to_owned())
+        .filter(|v| !v.is_empty())
+        .map(|v| {
+            v.parse::<f64>().ok().filter(|m| m.is_finite()).unwrap_or_else(|| {
+                eprintln!("error: SCFLOW_ATPG_MIN={v:?}: expected a percentage");
+                std::process::exit(2);
+            })
+        });
 
     // --down switches to the 48 kHz -> 44.1 kHz configuration.
     let cfg = if args.iter().any(|a| a == "--down") {
@@ -71,7 +81,7 @@ fn main() {
     if has("--verify") {
         println!("=== bit-accuracy re-validation of every refinement level ===\n");
         let input = scflow::stimulus::sine(150, 1000.0, f64::from(cfg.in_rate), 9000.0);
-        match scflow::flow::validate_all_levels(&cfg, &input) {
+        match scflow::flow::validate_all_levels(opts.engine, &opts.passes, &cfg, &input) {
             Ok(()) => println!("all synthesisable levels bit-accurate against the golden model\n"),
             Err(e) => {
                 eprintln!("FAILED: {e}");
@@ -131,7 +141,7 @@ fn main() {
     if has("--fault") {
         println!("=== Scan-test fault coverage (PPSFP, SCFLOW_FAULT_THREADS workers) ===\n");
         let lib = scflow_gate::CellLibrary::generic_025u();
-        match scflow::flow::run_fault_flow(&cfg, &lib, 32, 0xBEEF) {
+        match scflow::flow::run_fault_flow(&cfg, &lib, 32, 0xBEEF, opts.atpg.threads) {
             Ok(report) => println!("{report}"),
             Err(e) => {
                 eprintln!("FAILED: {e}");
@@ -210,7 +220,7 @@ fn main() {
 
     if has("--check-gate") {
         println!("=== Gate-engine check: bit-parallel vs event-driven ===\n");
-        let check = scflow_bench::check_gate_engines(&cfg, 30);
+        let check = scflow_bench::check_gate_engines(&cfg, 30, opts.atpg.threads);
         println!("{:<14} {:>16}", "engine", "cycles/sec");
         println!("{:<14} {:>16.0}", "event-driven", check.event_cps);
         println!("{:<14} {:>16.0}", "bit-parallel", check.bitpar_cps);
@@ -311,17 +321,14 @@ fn main() {
             );
         }
         println!();
-        if scflow_obs::metrics_enabled() {
-            metrics_out.merge_from(&stats_metrics);
-            emit_metrics = true;
-        }
+        // Written only if another section emits METRICS.json.
+        metrics_out.merge_from(&stats_metrics);
     }
 
     if has("--atpg") {
         println!("=== ATPG: staged random + PODEM test generation (SCFLOW_ATPG_* knobs) ===\n");
         let lib = scflow_gate::CellLibrary::generic_025u();
-        let opts = scflow_gate::AtpgOptions::from_env();
-        match scflow::flow::run_atpg_flow(&cfg, &lib, &opts) {
+        match scflow::flow::run_atpg_flow(&cfg, &lib, &opts.atpg) {
             Ok((report, result)) => {
                 println!("{report}");
                 // Always emitted (like --coverage): verify.sh cmp's the
@@ -342,10 +349,7 @@ fn main() {
                 );
                 metrics_out.merge_from(&reg);
                 emit_metrics = true;
-                // Optional floor assert for CI: SCFLOW_ATPG_MIN=95 fails
-                // the run below that collapsed stuck-at coverage.
-                if let Ok(min) = std::env::var("SCFLOW_ATPG_MIN") {
-                    let min: f64 = min.parse().unwrap_or(0.0);
+                if let Some(min) = atpg_min {
                     if report.coverage_pct < min {
                         eprintln!(
                             "FAILED: ATPG coverage {:.1}% below SCFLOW_ATPG_MIN={min}%",
@@ -365,14 +369,15 @@ fn main() {
     if has("--check-atpg") {
         println!("=== ATPG check: directed stage smoke run (tiny budget) ===\n");
         let lib = scflow_gate::CellLibrary::generic_025u();
-        let opts = scflow_gate::AtpgOptions {
+        let smoke = scflow_gate::AtpgOptions {
             random: false,
             directed: true,
             budget: 32,
             compact: false,
+            threads: opts.atpg.threads,
             ..scflow_gate::AtpgOptions::default()
         };
-        match scflow::flow::run_atpg_flow(&cfg, &lib, &opts) {
+        match scflow::flow::run_atpg_flow(&cfg, &lib, &smoke) {
             Ok((report, result)) => {
                 println!(
                     "directed-only on {}: {}/{} detected, {} untestable, {} aborted, \
@@ -406,9 +411,9 @@ fn main() {
     }
 
     // Observability subcommands: both feed the same METRICS.json, so
-    // `--all` (or SCFLOW_METRICS plus SCFLOW_PROFILE) writes one
-    // combined artefact. The metrics object stays deterministic; only
-    // the optional profile section carries wall-clock numbers.
+    // `--all` (or `--coverage --profile`) writes one combined artefact.
+    // The metrics object stays deterministic; only the optional profile
+    // section carries wall-clock numbers.
     if has("--coverage") {
         println!("=== Toggle coverage across all simulation engines ===\n");
         let rep = scflow_bench::measure_coverage(&cfg);
@@ -431,7 +436,7 @@ fn main() {
         println!("=== Flow profile: wall time per phase ===\n");
         let lib = scflow_gate::CellLibrary::generic_025u();
         let input = scflow::stimulus::sine(150, 1000.0, f64::from(cfg.in_rate), 9000.0);
-        match scflow::flow::profile_flow(&cfg, &lib, &input, 32, 0xBEEF) {
+        match scflow::flow::profile_flow(&opts, &cfg, &lib, &input, 32, 0xBEEF) {
             Ok(p) => {
                 print!("{}", p.report());
                 println!("total: {:.1} ms\n", p.total_ns() as f64 / 1e6);

@@ -407,11 +407,15 @@ impl GateEngineCheck {
 
 /// Races the two gate-level engines on the synthesized RTL SRC (best of
 /// 3 each, bit-identical outputs asserted), then cross-checks PPSFP fault
-/// simulation against the serial per-fault reference on a fault subset.
-/// Used by `tables --check-gate` and `scripts/verify.sh` to catch a
-/// bit-parallel engine that is slower than the event-driven one or that
-/// detects a different fault set.
-pub fn check_gate_engines(cfg: &SrcConfig, n_inputs: usize) -> GateEngineCheck {
+/// simulation on `fault_threads` workers against the serial per-fault
+/// reference on a fault subset. Used by `tables --check-gate` and
+/// `scripts/verify.sh` to catch a bit-parallel engine that is slower than
+/// the event-driven one or that detects a different fault set.
+pub fn check_gate_engines(
+    cfg: &SrcConfig,
+    n_inputs: usize,
+    fault_threads: usize,
+) -> GateEngineCheck {
     let lib = CellLibrary::generic_025u();
     let input = stimulus::sine(n_inputs, 1000.0, f64::from(cfg.in_rate), 9000.0);
     let golden = GoldenVectors::generate(cfg, input);
@@ -459,7 +463,8 @@ pub fn check_gate_engines(cfg: &SrcConfig, n_inputs: usize) -> GateEngineCheck {
     let serial = fault::fault_coverage_serial(&gate_rtl, &lib, &subset, &patterns);
     let fault_serial_wall = t0.elapsed();
     let t0 = Instant::now();
-    let ppsfp = fault::fault_coverage(&gate_rtl, &lib, &subset, &patterns);
+    let ppsfp =
+        fault::fault_coverage_with_threads(&gate_rtl, &lib, &subset, &patterns, fault_threads);
     let fault_ppsfp_wall = t0.elapsed();
 
     GateEngineCheck {

@@ -9,11 +9,16 @@
 //! RTL validation runs on a selectable engine ([`SimEngine`]): the
 //! tree-walking interpreter, the compiled levelized engine, or the
 //! 64-lane bit-parallel executor (lane 0). All three are bit-identical,
-//! so the choice only affects wall-clock time; the `SCFLOW_SIM_ENGINE`
-//! environment variable picks the default. Snapshot-capable engines can
-//! additionally amortise a shared warmup across many scenarios with
+//! so the choice only affects wall-clock time. Snapshot-capable engines
+//! can additionally amortise a shared warmup across many scenarios with
 //! [`run_forked_scenarios`] (warm up once, snapshot, restore per
 //! scenario).
+//!
+//! Every flow function takes its configuration as values. The `SCFLOW_*`
+//! environment is read in one place, [`FlowOptions::from_env`] (and
+//! [`ServeOptions::from_env`] for the service), by the binaries at
+//! startup; a verdict therefore depends only on the design, the stimulus
+//! and the options the caller passed.
 
 use crate::config::SrcConfig;
 use crate::models::beh::{synthesize_beh_src, BehVariant};
@@ -21,7 +26,7 @@ use crate::models::harness::{run_fixed, run_handshake};
 use crate::models::rtl::{build_rtl_src, RtlVariant};
 use crate::models::vhdl_ref::build_vhdl_ref;
 use crate::verify::{compare_bit_accurate, GoldenVectors};
-use scflow_gate::{fault, CellLibrary, GateNetlist, GateProgram, GateSim};
+use scflow_gate::{fault, AtpgOptions, CellLibrary, GateNetlist, GateProgram, GateSim};
 use scflow_obs::{MetricsRegistry, Profiler};
 use scflow_hwtypes::PassConfig;
 use scflow_rtl::{CompiledProgram, Module, RtlSim};
@@ -29,10 +34,6 @@ use scflow_synth::rtl::{synthesize, SynthOptions, SynthResult};
 use std::fmt;
 
 pub use crate::error::ScflowError;
-
-/// Former name of [`ScflowError`], kept as an alias for existing callers.
-#[deprecated(since = "0.1.0", note = "renamed to `ScflowError`")]
-pub type FlowError = ScflowError;
 
 /// Which RTL simulation engine the flow drives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -52,20 +53,6 @@ pub enum SimEngine {
     /// compiled engine; its 64 lanes pay off in scenario sweeps
     /// ([`run_forked_scenarios`]).
     BitParallel,
-}
-
-impl SimEngine {
-    /// Reads the engine choice from the `SCFLOW_SIM_ENGINE` environment
-    /// variable (`interpreted`, `compiled` or `rtl_bitpar`,
-    /// case-insensitive). Unset or unrecognised values fall back to the
-    /// default ([`SimEngine::Interpreted`]).
-    pub fn from_env() -> Self {
-        match std::env::var("SCFLOW_SIM_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("compiled") => SimEngine::Compiled,
-            Ok(v) if v.eq_ignore_ascii_case("rtl_bitpar") => SimEngine::BitParallel,
-            _ => SimEngine::Interpreted,
-        }
-    }
 }
 
 impl fmt::Display for SimEngine {
@@ -91,19 +78,6 @@ pub enum GateEngine {
     BitParallel,
 }
 
-impl GateEngine {
-    /// Reads the engine choice from the `SCFLOW_GATE_ENGINE` environment
-    /// variable (`event` or `bitpar`, case-insensitive). Unset or
-    /// unrecognised values fall back to the default
-    /// ([`GateEngine::EventDriven`]).
-    pub fn from_env() -> Self {
-        match std::env::var("SCFLOW_GATE_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("bitpar") => GateEngine::BitParallel,
-            _ => GateEngine::EventDriven,
-        }
-    }
-}
-
 impl fmt::Display for GateEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -113,8 +87,7 @@ impl fmt::Display for GateEngine {
     }
 }
 
-/// Configuration of the `scflow-serve` simulation service, following
-/// the same knob convention as the engine selectors above: every field
+/// Configuration of the `scflow-serve` simulation service: every field
 /// has an `SCFLOW_*` environment variable and a safe default.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeOptions {
@@ -144,30 +117,180 @@ impl Default for ServeOptions {
 }
 
 impl ServeOptions {
-    /// Reads the service configuration from `SCFLOW_SERVE_ADDR`,
-    /// `SCFLOW_SERVE_THREADS` and `SCFLOW_CACHE_CAP`. Unset, empty or
-    /// unparsable values fall back to the defaults; out-of-range counts
-    /// are clamped rather than rejected.
-    pub fn from_env() -> Self {
-        let d = ServeOptions::default();
-        let addr = match std::env::var("SCFLOW_SERVE_ADDR") {
-            Ok(v) if !v.trim().is_empty() => Some(v.trim().to_owned()),
+    /// [`ServeOptions::from_vars`] over the process environment.
+    pub fn from_env() -> Result<Self, OptionError> {
+        Self::from_vars(env_vars())
+    }
+
+    /// Reads `SCFLOW_SERVE_ADDR`, `SCFLOW_SERVE_THREADS` and
+    /// `SCFLOW_CACHE_CAP` from `vars`. Unset or empty values fall back to
+    /// the defaults; out-of-range counts are clamped.
+    ///
+    /// # Errors
+    ///
+    /// [`OptionError`] names the first variable that does not parse.
+    pub fn from_vars<K: AsRef<str>, V: AsRef<str>>(
+        vars: impl IntoIterator<Item = (K, V)>,
+    ) -> Result<Self, OptionError> {
+        let vars = Vars::new(vars);
+        let mut o = ServeOptions::default();
+        let count = |s: &str| s.parse::<usize>().ok();
+        vars.set(&mut o.addr, "SCFLOW_SERVE_ADDR", "HOST:PORT", |s| Some(Some(s.to_owned())))?;
+        let threads = |s: &str| count(s).map(|n| n.clamp(1, 64));
+        vars.set(&mut o.threads, "SCFLOW_SERVE_THREADS", "a session count", threads)?;
+        let cap = |s: &str| count(s).map(|n| n.max(1));
+        vars.set(&mut o.cache_cap, "SCFLOW_CACHE_CAP", "a program count", cap)?;
+        Ok(o)
+    }
+}
+
+/// The flow's configuration: the RTL engine, the compile-pass
+/// pipeline and the ATPG options (whose `threads` is also the fault
+/// flow's worker count). [`Default`] is the documented baseline.
+#[derive(Clone, Debug, Default)]
+pub struct FlowOptions {
+    /// RTL engine for validation (`SCFLOW_SIM_ENGINE`: `interpreted`,
+    /// `compiled` or `rtl_bitpar`, case-insensitive).
+    pub engine: SimEngine,
+    /// Compile passes before simulation (`SCFLOW_OPT`: a level, `0` off,
+    /// `1` constant sweep + CSE + DCE, `2` adds the re-layout; levels
+    /// above 2 behave as 2). Passes never change a verdict.
+    pub passes: PassConfig,
+    /// ATPG stages and budgets (`SCFLOW_ATPG_*`) and the PPSFP worker
+    /// count (`SCFLOW_FAULT_THREADS`, at least 1).
+    pub atpg: AtpgOptions,
+}
+
+impl FlowOptions {
+    /// [`FlowOptions::from_vars`] over the process environment.
+    pub fn from_env() -> Result<Self, OptionError> {
+        Self::from_vars(env_vars())
+    }
+
+    /// Reads `SCFLOW_SIM_ENGINE`, `SCFLOW_OPT`, `SCFLOW_FAULT_THREADS`,
+    /// `SCFLOW_ATPG_BUDGET`, `SCFLOW_ATPG_RANDOM_MAX`,
+    /// `SCFLOW_ATPG_TARGET`, `SCFLOW_ATPG_SEED` (decimal or `0x…`) and
+    /// `SCFLOW_ATPG_STAGES` (words `random`, `directed` or `all`) from
+    /// `vars`. Unset or empty values keep the default; out-of-range
+    /// counts are clamped.
+    ///
+    /// # Errors
+    ///
+    /// [`OptionError`] names the first variable that does not parse.
+    pub fn from_vars<K: AsRef<str>, V: AsRef<str>>(
+        vars: impl IntoIterator<Item = (K, V)>,
+    ) -> Result<Self, OptionError> {
+        let vars = Vars::new(vars);
+        let mut o = FlowOptions::default();
+        let engine = |s: &str| match s.to_ascii_lowercase().as_str() {
+            "interpreted" => Some(SimEngine::Interpreted),
+            "compiled" => Some(SimEngine::Compiled),
+            "rtl_bitpar" => Some(SimEngine::BitParallel),
             _ => None,
         };
-        let threads = std::env::var("SCFLOW_SERVE_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(d.threads, |n| n.clamp(1, 64));
-        let cache_cap = std::env::var("SCFLOW_CACHE_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(d.cache_cap, |n| n.max(1));
-        ServeOptions {
-            addr,
-            threads,
-            cache_cap,
+        let expected = "interpreted, compiled or rtl_bitpar";
+        vars.set(&mut o.engine, "SCFLOW_SIM_ENGINE", expected, engine)?;
+        let count = |s: &str| s.parse::<usize>().ok();
+        let level = |s: &str| count(s).map(|l| PassConfig::for_level(l.min(2) as u8));
+        vars.set(&mut o.passes, "SCFLOW_OPT", "a pass level", level)?;
+        let a = &mut o.atpg;
+        let threads = |s: &str| count(s).map(|n| n.max(1));
+        vars.set(&mut a.threads, "SCFLOW_FAULT_THREADS", "a thread count", threads)?;
+        vars.set(&mut a.budget, "SCFLOW_ATPG_BUDGET", "a backtrack count", count)?;
+        vars.set(&mut a.random_max, "SCFLOW_ATPG_RANDOM_MAX", "a round count", count)?;
+        let pct = |s: &str| s.parse::<f64>().ok().filter(|p| p.is_finite());
+        vars.set(&mut a.target_pct, "SCFLOW_ATPG_TARGET", "a percentage", pct)?;
+        vars.set(&mut a.seed, "SCFLOW_ATPG_SEED", "a decimal or 0x seed", parse_seed)?;
+        let mut stages = (a.random, a.directed);
+        let expected = "a list of random, directed or all";
+        vars.set(&mut stages, "SCFLOW_ATPG_STAGES", expected, parse_stages)?;
+        (a.random, a.directed) = stages;
+        Ok(o)
+    }
+}
+
+/// An `SCFLOW_*` variable whose value does not parse.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OptionError {
+    /// The variable.
+    pub var: &'static str,
+    /// Its rejected value.
+    pub value: String,
+    /// What the variable accepts.
+    pub expected: &'static str,
+}
+
+impl fmt::Display for OptionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}={:?}: expected {}", self.var, self.value, self.expected)
+    }
+}
+
+impl std::error::Error for OptionError {}
+
+/// The process environment as text. Values that are not valid UTF-8 are
+/// converted lossily, so they fail to parse rather than abort.
+fn env_vars() -> impl Iterator<Item = (String, String)> {
+    std::env::vars_os().map(|(k, v)| {
+        (k.to_string_lossy().into_owned(), v.to_string_lossy().into_owned())
+    })
+}
+
+/// The `SCFLOW_*` entries of one variable snapshot, trimmed; empty
+/// values count as unset, and a later duplicate wins.
+struct Vars(std::collections::HashMap<String, String>);
+
+impl Vars {
+    fn new<K: AsRef<str>, V: AsRef<str>>(vars: impl IntoIterator<Item = (K, V)>) -> Self {
+        Vars(
+            vars.into_iter()
+                .filter(|(k, _)| k.as_ref().starts_with("SCFLOW_"))
+                .map(|(k, v)| (k.as_ref().to_owned(), v.as_ref().trim().to_owned()))
+                .filter(|(_, v)| !v.is_empty())
+                .collect(),
+        )
+    }
+
+    /// Overwrites `slot` with the parsed value of `var` if it is set;
+    /// a value `parse` refuses is an error naming the variable.
+    fn set<T>(
+        &self,
+        slot: &mut T,
+        var: &'static str,
+        expected: &'static str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<(), OptionError> {
+        if let Some(value) = self.0.get(var) {
+            *slot = parse(value).ok_or_else(|| OptionError {
+                var,
+                value: value.clone(),
+                expected,
+            })?;
+        }
+        Ok(())
+    }
+}
+
+fn parse_seed(s: &str) -> Option<u64> {
+    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        u64::from_str_radix(hex, 16).ok()
+    } else {
+        s.parse().ok()
+    }
+}
+
+/// `(random, directed)` from a list of stage words in any separators.
+fn parse_stages(s: &str) -> Option<(bool, bool)> {
+    let (mut random, mut directed) = (false, false);
+    for word in s.split(|c: char| !c.is_ascii_alphabetic()).filter(|w| !w.is_empty()) {
+        match word.to_ascii_lowercase().as_str() {
+            "all" => (random, directed) = (true, true),
+            "random" => random = true,
+            "directed" => directed = true,
+            _ => return None,
         }
     }
+    (random || directed).then_some((random, directed))
 }
 
 /// One row of the Figure 10 table.
@@ -305,118 +428,88 @@ fn run_and_compare(
 }
 
 /// Validates one synthesisable module against the golden vectors on the
-/// chosen RTL engine.
+/// chosen RTL engine, compiled with `passes` (the interpreter has no
+/// compile step and ignores them). Passes are semantics-preserving, so
+/// neither choice can change the verdict, only the wall-clock time.
 ///
 /// # Errors
 ///
 /// Returns [`ScflowError::Accuracy`] on the first output mismatch, and
-/// propagates compilation errors from the compiled engine.
-pub fn validate_module_with(
+/// propagates compilation errors from the compiled engines.
+pub fn validate_module(
     engine: SimEngine,
+    passes: &PassConfig,
     design: &str,
     module: &Module,
     golden: &GoldenVectors,
     fixed_mode: bool,
 ) -> Result<(), ScflowError> {
-    // The compile-pass pipeline is a flow-level knob (`SCFLOW_OPT`):
-    // passes are semantics-preserving, so the level only affects
-    // throughput, never the validation verdict. The interpreter has no
-    // compile step and therefore no passes.
-    let passes = PassConfig::from_env();
     match engine {
         SimEngine::Interpreted => {
             let mut sim = RtlSim::new(module);
             run_and_compare(&mut sim, design, golden, fixed_mode)
         }
         SimEngine::Compiled => {
-            let program = CompiledProgram::compile_with(module, &passes)?;
+            let program = CompiledProgram::compile_with(module, passes)?;
             let mut sim = program.simulator();
             run_and_compare(&mut sim, design, golden, fixed_mode)
         }
         SimEngine::BitParallel => {
-            let program = CompiledProgram::compile_with(module, &passes)?;
+            let program = CompiledProgram::compile_with(module, passes)?;
             let mut sim = program.bit_simulator();
             run_and_compare(&mut sim, design, golden, fixed_mode)
         }
     }
 }
 
-/// Validates one synthesisable module against the golden vectors on the
-/// engine named by `SCFLOW_SIM_ENGINE` (interpreted by default).
-///
-/// # Errors
-///
-/// Returns [`ScflowError::Accuracy`] on the first output mismatch.
-pub fn validate_module(
-    design: &str,
-    module: &Module,
-    golden: &GoldenVectors,
-    fixed_mode: bool,
-) -> Result<(), ScflowError> {
-    validate_module_with(SimEngine::from_env(), design, module, golden, fixed_mode)
-}
-
 /// Re-validates every synthesisable design of the flow against the golden
 /// vectors (the paper's per-step bit-accuracy discipline, in one call),
-/// on the chosen RTL engine.
+/// on the chosen RTL engine and pass pipeline.
 ///
 /// # Errors
 ///
 /// Returns the first failing design.
-pub fn validate_all_levels_with(
+pub fn validate_all_levels(
     engine: SimEngine,
+    passes: &PassConfig,
     cfg: &SrcConfig,
     input: &[i16],
 ) -> Result<(), ScflowError> {
-    validate_all_levels_profiled(engine, cfg, input, &mut Profiler::new())
+    validate_all_levels_profiled(engine, passes, cfg, input, &mut Profiler::new())
 }
 
-/// [`validate_all_levels_with`], with each design validation recorded as
-/// a child span of the caller's currently open span.
+/// [`validate_all_levels`], with each design validation recorded as a
+/// child span of the caller's currently open span.
 fn validate_all_levels_profiled(
     engine: SimEngine,
+    passes: &PassConfig,
     cfg: &SrcConfig,
     input: &[i16],
     prof: &mut Profiler,
 ) -> Result<(), ScflowError> {
     let golden =
         prof.scope("golden_vectors", |_| GoldenVectors::generate(cfg, input.to_vec()));
+    let validate = |design, m: &Module, fixed_mode| {
+        validate_module(engine, passes, design, m, &golden, fixed_mode)
+    };
 
     prof.scope("BEH unopt", |_| {
-        let m = synthesize_beh_src(cfg, BehVariant::Unoptimised)?.module;
-        validate_module_with(engine, "BEH unopt", &m, &golden, false)
+        validate("BEH unopt", &synthesize_beh_src(cfg, BehVariant::Unoptimised)?.module, false)
     })?;
     prof.scope("BEH opt", |_| {
-        let m = synthesize_beh_src(cfg, BehVariant::Optimised)?.module;
-        validate_module_with(engine, "BEH opt", &m, &golden, true)
+        validate("BEH opt", &synthesize_beh_src(cfg, BehVariant::Optimised)?.module, true)
     })?;
     prof.scope("RTL unopt", |_| {
-        let m = build_rtl_src(cfg, RtlVariant::Unoptimised)?;
-        validate_module_with(engine, "RTL unopt", &m, &golden, false)
+        validate("RTL unopt", &build_rtl_src(cfg, RtlVariant::Unoptimised)?, false)
     })?;
     prof.scope("RTL opt", |_| {
-        let m = build_rtl_src(cfg, RtlVariant::Optimised)?;
-        validate_module_with(engine, "RTL opt", &m, &golden, false)
+        validate("RTL opt", &build_rtl_src(cfg, RtlVariant::Optimised)?, false)
     })?;
     prof.scope("RTL buggy", |_| {
-        let m = build_rtl_src(cfg, RtlVariant::OptimisedBuggy)?;
-        validate_module_with(engine, "RTL buggy", &m, &golden, false)
+        validate("RTL buggy", &build_rtl_src(cfg, RtlVariant::OptimisedBuggy)?, false)
     })?;
-    prof.scope("VHDL-Ref", |_| {
-        let m = build_vhdl_ref(cfg)?;
-        validate_module_with(engine, "VHDL-Ref", &m, &golden, false)
-    })?;
+    prof.scope("VHDL-Ref", |_| validate("VHDL-Ref", &build_vhdl_ref(cfg)?, false))?;
     Ok(())
-}
-
-/// Re-validates every synthesisable design on the engine named by
-/// `SCFLOW_SIM_ENGINE` (interpreted by default).
-///
-/// # Errors
-///
-/// Returns the first failing design.
-pub fn validate_all_levels(cfg: &SrcConfig, input: &[i16]) -> Result<(), ScflowError> {
-    validate_all_levels_with(SimEngine::from_env(), cfg, input)
 }
 
 /// Why a fork-style scenario sweep stopped (see
@@ -518,7 +611,10 @@ fn tie_off_scan(sim: &mut (impl scflow_sim_api::Simulation + ?Sized)) {
 }
 
 /// Validates a synthesized gate netlist against the golden vectors on the
-/// chosen gate-level engine (scan held inactive).
+/// chosen gate-level engine (scan held inactive), after optimizing it
+/// with `passes`. The passes keep every observed output and the scan
+/// chain, so the verdict cannot change. (The fault flow never optimizes
+/// — collapsed cells would hide fault sites.)
 ///
 /// # Errors
 ///
@@ -527,20 +623,15 @@ fn tie_off_scan(sim: &mut (impl scflow_sim_api::Simulation + ?Sized)) {
 /// compiled engine.
 pub fn validate_gate_level_with(
     engine: GateEngine,
+    passes: &PassConfig,
     design: &str,
     netlist: &GateNetlist,
     lib: &CellLibrary,
     golden: &GoldenVectors,
 ) -> Result<(), ScflowError> {
-    // Same `SCFLOW_OPT` knob as the RTL path: optimize the netlist
-    // before handing it to any engine. The passes keep every observed
-    // output and the scan chain, so the verdict cannot change. (The
-    // fault flow never optimizes — collapsed cells would hide fault
-    // sites.)
-    let passes = PassConfig::from_env();
     let optimized;
     let netlist = if passes.any() {
-        optimized = scflow_gate::optimize(netlist, &passes)?.netlist;
+        optimized = scflow_gate::optimize(netlist, passes)?.netlist;
         &optimized
     } else {
         netlist
@@ -579,10 +670,12 @@ pub struct FaultReport {
     pub detected: usize,
     /// Detected / total, percent.
     pub coverage_pct: f64,
-    /// PPSFP worker threads used.
+    /// PPSFP worker threads requested.
     pub threads: usize,
     /// Scan patterns applied.
     pub patterns: usize,
+    /// Fault-simulator instrumentation (shard timing, drop curve).
+    pub stats: fault::FaultSimStats,
 }
 
 impl fmt::Display for FaultReport {
@@ -609,8 +702,9 @@ impl fmt::Display for FaultReport {
 /// Runs the scan-test fault-coverage flow on the optimised RTL SRC:
 /// synthesise (scan stitched in by default), enumerate the single-stuck-at
 /// fault list, generate `n_patterns` pseudo-random scan patterns, and
-/// measure coverage with PPSFP on [`fault::fault_threads`] workers
-/// (`SCFLOW_FAULT_THREADS`).
+/// measure coverage with PPSFP on `threads` workers. The report carries
+/// the fault simulator's instrumentation (per-shard timing and the
+/// fault-drop-rate curve).
 ///
 /// # Errors
 ///
@@ -620,36 +714,16 @@ pub fn run_fault_flow(
     lib: &CellLibrary,
     n_patterns: usize,
     seed: u64,
+    threads: usize,
 ) -> Result<FaultReport, ScflowError> {
-    run_fault_flow_instrumented(cfg, lib, n_patterns, seed).map(|(report, _)| report)
-}
-
-/// [`run_fault_flow`] plus the fault simulator's run instrumentation
-/// (per-shard timing and the fault-drop-rate curve).
-///
-/// # Errors
-///
-/// Propagates construction and synthesis errors.
-pub fn run_fault_flow_instrumented(
-    cfg: &SrcConfig,
-    lib: &CellLibrary,
-    n_patterns: usize,
-    seed: u64,
-) -> Result<(FaultReport, fault::FaultSimStats), ScflowError> {
     let module = build_rtl_src(cfg, RtlVariant::Optimised)?;
     let netlist = synthesize(&module, lib, &SynthOptions::default())?.netlist;
     let all = fault::all_fault_sites(&netlist);
     let collapsed = fault::collapse_faults(&netlist, &all);
     let patterns = fault::random_patterns(&netlist, n_patterns, seed);
-    let threads = fault::fault_threads();
-    let (result, stats) = fault::fault_coverage_instrumented_with_threads(
-        &netlist,
-        lib,
-        &collapsed.faults,
-        &patterns,
-        threads,
-    );
-    let report = FaultReport {
+    let result =
+        fault::fault_coverage_with_threads(&netlist, lib, &collapsed.faults, &patterns, threads);
+    Ok(FaultReport {
         design: "RTL opt".to_owned(),
         faults: result.total,
         uncollapsed: all.len(),
@@ -657,8 +731,8 @@ pub fn run_fault_flow_instrumented(
         coverage_pct: result.coverage_pct(),
         threads,
         patterns: patterns.len(),
-    };
-    Ok((report, stats))
+        stats: result.stats,
+    })
 }
 
 /// The result of the ATPG flow: staged pattern generation
@@ -749,7 +823,7 @@ pub fn run_atpg_flow(
         coverage_pct: result.coverage_pct(),
         test_coverage_pct: result.test_coverage_pct(),
         patterns: result.patterns.len(),
-        threads: fault::fault_threads(),
+        threads: opts.threads,
         curve: result.stats.curve.clone(),
     };
     Ok((report, result))
@@ -765,10 +839,9 @@ pub fn run_atpg_flow(
 pub struct FlowProfile {
     /// The Figure 10 area table from the `run_area_flow` phase.
     pub area: AreaFigure,
-    /// The fault-coverage report from the `run_fault_flow` phase.
+    /// The fault-coverage report (with its instrumentation) from the
+    /// `run_fault_flow` phase.
     pub fault: FaultReport,
-    /// Fault-simulator instrumentation (shard timing, drop curve).
-    pub fault_stats: fault::FaultSimStats,
     /// Phase spans: `validate_all_levels`, `run_area_flow`,
     /// `run_fault_flow`, with per-design children under the first.
     pub profiler: Profiler,
@@ -789,33 +862,34 @@ impl FlowProfile {
     }
 }
 
-/// Runs the complete flow — refinement validation on the engine named by
-/// `SCFLOW_SIM_ENGINE`, the Figure 10 area table, and the scan-test
-/// fault-coverage flow — with every phase profiled.
+/// Runs the complete flow — refinement validation on `opts.engine` with
+/// `opts.passes`, the Figure 10 area table, and the scan-test
+/// fault-coverage flow on `opts.atpg.threads` workers — with every phase
+/// profiled.
 ///
 /// # Errors
 ///
 /// Returns the first failing phase's error.
 pub fn profile_flow(
+    opts: &FlowOptions,
     cfg: &SrcConfig,
     lib: &CellLibrary,
     input: &[i16],
     n_patterns: usize,
     seed: u64,
 ) -> Result<FlowProfile, ScflowError> {
-    let engine = SimEngine::from_env();
     let mut prof = Profiler::new();
     prof.scope("validate_all_levels", |p| {
-        validate_all_levels_profiled(engine, cfg, input, p)
+        validate_all_levels_profiled(opts.engine, &opts.passes, cfg, input, p)
     })?;
     let area = prof.scope("run_area_flow", |_| run_area_flow(cfg, lib))?;
-    let (fault, fault_stats) = prof.scope("run_fault_flow", |p| {
-        let r = run_fault_flow_instrumented(cfg, lib, n_patterns, seed);
-        if let Ok((_, stats)) = &r {
+    let fault = prof.scope("run_fault_flow", |p| {
+        let r = run_fault_flow(cfg, lib, n_patterns, seed, opts.atpg.threads);
+        if let Ok(report) = &r {
             // Shards run concurrently, so these child spans may sum to
             // more than the phase span; they are wall-clock, like all
             // profiler spans, and stay out of the metrics registry.
-            for (i, &ns) in stats.shard_wall_ns.iter().enumerate() {
+            for (i, &ns) in report.stats.shard_wall_ns.iter().enumerate() {
                 p.record(&format!("fault_shard_{i}"), ns);
             }
         }
@@ -823,7 +897,7 @@ pub fn profile_flow(
     })?;
 
     let mut metrics = MetricsRegistry::new();
-    fault_stats.register_into(&mut metrics, &format!("fault.{}", fault_stats.engine));
+    fault.stats.register_into(&mut metrics, &format!("fault.{}", fault.stats.engine));
     metrics.set_counter("flow.designs_validated", 6);
     metrics.set_counter("flow.input_samples", input.len() as u64);
     metrics.set_counter("flow.scan_patterns", fault.patterns as u64);
@@ -832,8 +906,82 @@ pub fn profile_flow(
     Ok(FlowProfile {
         area,
         fault,
-        fault_stats,
         profiler: prof,
         metrics,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flow(vars: &[(&str, &str)]) -> Result<FlowOptions, OptionError> {
+        FlowOptions::from_vars(vars.iter().copied())
+    }
+
+    #[test]
+    fn from_vars_defaults_when_unset_or_empty() {
+        let d = AtpgOptions::default();
+        for vars in [&[][..], &[("SCFLOW_OPT", " "), ("HOME", "/")][..]] {
+            let o = flow(vars).unwrap();
+            assert_eq!((o.engine, o.passes), (SimEngine::Interpreted, PassConfig::off()));
+            let a = &o.atpg;
+            assert!(a.random && a.directed && a.compact);
+            assert_eq!((a.budget, a.random_max, a.seed), (d.budget, d.random_max, d.seed));
+            assert_eq!((a.threads, a.target_pct), (fault::fault_threads(), d.target_pct));
+        }
+        assert_eq!(ServeOptions::from_vars([("SCFLOW_CACHE_CAP", "")]), Ok(ServeOptions::default()));
+    }
+
+    #[test]
+    fn from_vars_reads_every_variable() {
+        let o = flow(&[
+            ("SCFLOW_SIM_ENGINE", "RTL_BitPar"),
+            ("SCFLOW_OPT", "7"),
+            ("SCFLOW_FAULT_THREADS", "0"),
+            ("SCFLOW_ATPG_BUDGET", "32"),
+            ("SCFLOW_ATPG_RANDOM_MAX", " 5 "),
+            ("SCFLOW_ATPG_TARGET", "95.5"),
+            ("SCFLOW_ATPG_SEED", "0x10"),
+            ("SCFLOW_ATPG_STAGES", "directed"),
+        ])
+        .unwrap();
+        assert_eq!((o.engine, o.passes), (SimEngine::BitParallel, PassConfig::for_level(2)));
+        let a = &o.atpg;
+        assert_eq!((a.threads, a.budget, a.random_max, a.seed), (1, 32, 5, 16));
+        assert_eq!((a.target_pct, a.random, a.directed), (95.5, false, true));
+        let o = flow(&[("SCFLOW_ATPG_SEED", "7"), ("SCFLOW_ATPG_STAGES", "random,all")]).unwrap();
+        assert_eq!((o.atpg.seed, o.atpg.random, o.atpg.directed), (7, true, true));
+
+        let s = ServeOptions::from_vars([
+            ("SCFLOW_SERVE_ADDR", " 127.0.0.1:7450 "),
+            ("SCFLOW_SERVE_THREADS", "1000"),
+            ("SCFLOW_CACHE_CAP", "0"),
+        ]);
+        let addr = Some("127.0.0.1:7450".to_owned());
+        assert_eq!(s, Ok(ServeOptions { addr, threads: 64, cache_cap: 1 }));
+    }
+
+    #[test]
+    fn from_vars_rejects_unparsable_values_by_name() {
+        let check = |e: OptionError, var, value: &str| {
+            assert_eq!((e.var, e.value.as_str()), (var, value));
+            assert!(e.to_string().starts_with(&format!("{var}=")), "{e}");
+        };
+        for (var, value) in [
+            ("SCFLOW_SIM_ENGINE", "jit"),
+            ("SCFLOW_OPT", "two"),
+            ("SCFLOW_FAULT_THREADS", "-1"),
+            ("SCFLOW_ATPG_BUDGET", "1e3"),
+            ("SCFLOW_ATPG_RANDOM_MAX", "many"),
+            ("SCFLOW_ATPG_TARGET", "95%"),
+            ("SCFLOW_ATPG_SEED", "0xZZ"),
+            ("SCFLOW_ATPG_STAGES", "random+podem"),
+        ] {
+            check(flow(&[(var, value)]).unwrap_err(), var, value);
+        }
+        for (var, value) in [("SCFLOW_SERVE_THREADS", "four"), ("SCFLOW_CACHE_CAP", "8 MiB")] {
+            check(ServeOptions::from_vars([(var, value)]).unwrap_err(), var, value);
+        }
+    }
 }

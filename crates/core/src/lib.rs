@@ -79,14 +79,14 @@ pub mod prelude {
     pub use crate::algo::AlgoSrc;
     pub use crate::error::ScflowError;
     pub use crate::flow::{
-        run_area_flow, run_forked_scenarios, validate_all_levels, validate_all_levels_with,
-        validate_module, validate_module_with, AreaFigure, ServeOptions, SimEngine, SweepError,
+        run_area_flow, run_forked_scenarios, validate_all_levels, validate_module, AreaFigure,
+        FlowOptions, ServeOptions, SimEngine, SweepError,
     };
     pub use crate::models::harness::{run_fixed, run_handshake};
     pub use crate::verify::{compare_bit_accurate, GoldenVectors};
     pub use crate::{design_prototype, stimulus, CoefficientRom, SrcConfig};
     pub use scflow_gate::{CellLibrary, GateError, GateSim};
-    pub use scflow_hwtypes::Bv;
+    pub use scflow_hwtypes::{Bv, PassConfig};
     pub use scflow_rtl::{CompiledProgram, CompiledSim, Module, RtlError, RtlSim};
     pub use scflow_sim_api::{EngineStats, SimError, Simulation};
 }

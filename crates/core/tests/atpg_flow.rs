@@ -2,21 +2,13 @@
 //! must not change the detected set, and `run_atpg_flow` must be
 //! bit-identical regardless of PPSFP thread count.
 
-use std::sync::{Mutex, MutexGuard};
-
 use scflow::models::rtl::{build_rtl_src, RtlVariant};
 use scflow::SrcConfig;
-use scflow_gate::fault::{all_fault_sites, collapse_faults, fault_coverage};
+use scflow_gate::fault::{
+    all_fault_sites, collapse_faults, fault_coverage_with_threads, fault_threads,
+};
 use scflow_gate::{generate_tests, AtpgOptions, CellLibrary};
 use scflow_synth::rtl::{synthesize, SynthOptions};
-
-/// Serialises the tests of this file: one of them sets
-/// `SCFLOW_FAULT_THREADS`, which every fault-simulation run reads.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// A reduced budget keeps the runs to a couple of seconds each; the
 /// properties under test do not depend on closing full coverage.
@@ -34,7 +26,6 @@ fn quick_opts() -> AtpgOptions {
 /// the detected set of simulating the full uncollapsed fault list.
 #[test]
 fn collapsed_and_uncollapsed_detected_sets_agree_on_src() {
-    let _env = env_lock();
     let cfg = SrcConfig::cd_to_dvd();
     let lib = CellLibrary::generic_025u();
     let module = build_rtl_src(&cfg, RtlVariant::Optimised).expect("rtl");
@@ -49,9 +40,10 @@ fn collapsed_and_uncollapsed_detected_sets_agree_on_src() {
     let r = generate_tests(&nl, &lib, &collapsed.faults, &quick_opts());
     assert!(!r.patterns.is_empty());
 
-    let rep = fault_coverage(&nl, &lib, &collapsed.faults, &r.patterns);
+    let threads = fault_threads();
+    let rep = fault_coverage_with_threads(&nl, &lib, &collapsed.faults, &r.patterns, threads);
     let expanded = collapsed.expand_mask(&rep.detected_mask);
-    let full = fault_coverage(&nl, &lib, &all, &r.patterns);
+    let full = fault_coverage_with_threads(&nl, &lib, &all, &r.patterns, threads);
     assert_eq!(
         expanded, full.detected_mask,
         "collapsed-then-expanded detected set diverges from the uncollapsed run"
@@ -60,19 +52,21 @@ fn collapsed_and_uncollapsed_detected_sets_agree_on_src() {
 
 /// `run_atpg_flow` output — patterns, per-fault classes, and the
 /// coverage curve — must not depend on how the PPSFP stages are
-/// scheduled. The thread count is varied sequentially inside one test,
-/// under the file's environment lock.
+/// scheduled. The thread count is an option value, so the ladder needs no
+/// process environment and runs beside the other test.
 #[test]
 fn atpg_flow_deterministic_across_thread_counts() {
-    let _env = env_lock();
     let cfg = SrcConfig::cd_to_dvd();
     let lib = CellLibrary::generic_025u();
-    let opts = quick_opts();
 
     let mut reference = None;
-    for threads in ["1", "2", "4", "8"] {
-        std::env::set_var("SCFLOW_FAULT_THREADS", threads);
+    for threads in [1, 2, 4, 8] {
+        let opts = AtpgOptions {
+            threads,
+            ..quick_opts()
+        };
         let (report, result) = scflow::flow::run_atpg_flow(&cfg, &lib, &opts).expect("flow");
+        assert_eq!(report.threads, threads);
         let key = (result.patterns, result.classes, result.stats.curve);
         match &reference {
             None => reference = Some((key, report.coverage_pct)),
@@ -82,12 +76,11 @@ fn atpg_flow_deterministic_across_thread_counts() {
                     .or_else(|| scflow_testkit::first_divergence("curve", curve, &key.2));
                 assert!(
                     div.is_none(),
-                    "ATPG output diverged at SCFLOW_FAULT_THREADS={threads}: {}",
+                    "ATPG output diverged at {threads} threads: {}",
                     div.unwrap()
                 );
                 assert_eq!(ref_cov, &report.coverage_pct);
             }
         }
     }
-    std::env::remove_var("SCFLOW_FAULT_THREADS");
 }

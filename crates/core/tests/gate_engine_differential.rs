@@ -130,6 +130,7 @@ fn gate_engines_agree_on_every_variant() {
 #[test]
 fn gate_level_validation_flow_accepts_every_engine() {
     use scflow::flow::{validate_gate_level_with, GateEngine};
+    use scflow::prelude::PassConfig;
     let cfg = SrcConfig::cd_to_dvd();
     let lib = CellLibrary::generic_025u();
     let input = stimulus::sine(12, 1000.0, f64::from(cfg.in_rate), 9000.0);
@@ -139,7 +140,9 @@ fn gate_level_validation_flow_accepts_every_engine() {
         .expect("synthesizes")
         .netlist;
     for engine in [GateEngine::EventDriven, GateEngine::BitParallel] {
-        validate_gate_level_with(engine, "RTL opt", &nl, &lib, &golden)
-            .unwrap_or_else(|e| panic!("{engine} engine failed validation: {e}"));
+        for passes in [PassConfig::off(), PassConfig::for_level(2)] {
+            validate_gate_level_with(engine, &passes, "RTL opt", &nl, &lib, &golden)
+                .unwrap_or_else(|e| panic!("{engine} engine at {passes} failed validation: {e}"));
+        }
     }
 }

@@ -6,6 +6,7 @@ use scflow::models::beh::{run_beh_model, BehVariant};
 use scflow::models::channel::run_channel_model;
 use scflow::models::refined::run_refined_model;
 use scflow::models::rtl::{build_rtl_src, run_rtl_model, RtlVariant};
+use scflow::prelude::{validate_all_levels, PassConfig, SimEngine};
 use scflow::verify::{compare_bit_accurate, GoldenVectors};
 use scflow::{stimulus, SrcConfig};
 
@@ -66,14 +67,16 @@ fn clocked_rtl_model_is_bit_accurate() {
 fn all_synthesisable_levels_validate_up() {
     let cfg = SrcConfig::cd_to_dvd();
     let input = stimulus::sine(150, 1000.0, 44100.0, 9000.0);
-    scflow::flow::validate_all_levels(&cfg, &input).expect("all levels bit-accurate");
+    validate_all_levels(SimEngine::Interpreted, &PassConfig::off(), &cfg, &input)
+        .expect("all levels bit-accurate");
 }
 
 #[test]
 fn all_synthesisable_levels_validate_down() {
     let cfg = SrcConfig::dvd_to_cd();
     let input = stimulus::sweep(150, 100.0, 15000.0, 48000.0, 9000.0);
-    scflow::flow::validate_all_levels(&cfg, &input).expect("all levels bit-accurate (down)");
+    validate_all_levels(SimEngine::Interpreted, &PassConfig::off(), &cfg, &input)
+        .expect("all levels bit-accurate (down)");
 }
 
 #[test]

@@ -5,6 +5,7 @@
 use scflow::models::beh::{synthesize_beh_src, BehVariant};
 use scflow::models::harness::run_handshake;
 use scflow::models::rtl::{build_rtl_src, RtlVariant};
+use scflow::prelude::{validate_all_levels, PassConfig, SimEngine};
 use scflow::verify::{compare_bit_accurate, GoldenVectors};
 use scflow::{stimulus, SrcConfig};
 use scflow_cosim::{run_kernel_cosim, run_native_hdl};
@@ -87,7 +88,8 @@ fn golden_vectors_are_deterministic_across_configs() {
 fn broadcast_rate_pair_validates_through_the_synthesisable_flow() {
     let cfg = SrcConfig::broadcast_to_dvd();
     let input = stimulus::sine(100, 440.0, 32_000.0, 9_000.0);
-    scflow::flow::validate_all_levels(&cfg, &input).expect("32k->48k flow");
+    validate_all_levels(SimEngine::Interpreted, &PassConfig::off(), &cfg, &input)
+        .expect("32k->48k flow");
 }
 
 #[test]

@@ -31,7 +31,9 @@
 //! in ascending order, and per-fault detection is independent of thread
 //! sharding (patterns are applied to a freshly reset circuit, exactly as
 //! in PPSFP), so the result is byte-identical at any
-//! `SCFLOW_FAULT_THREADS` setting.
+//! [`AtpgOptions::threads`] setting. The options are plain values: the
+//! generator reads no environment (`scflow::flow::FlowOptions` parses the
+//! `SCFLOW_ATPG_*` variables at a binary's edge).
 
 mod implic;
 
@@ -43,8 +45,9 @@ use crate::netlist::GateNetlist;
 use implic::{Frame, FrameInput};
 use scflow_hwtypes::Bv;
 
-/// Knobs for the staged generator. [`AtpgOptions::from_env`] reads the
-/// `SCFLOW_ATPG_*` environment; [`Default`] is the documented baseline.
+/// Knobs for the staged generator. [`Default`] is the documented
+/// baseline; the variable named on each field is the `SCFLOW_*` knob
+/// that `scflow::flow::FlowOptions` parses into it.
 #[derive(Clone, Debug)]
 pub struct AtpgOptions {
     /// Run the random stage (`SCFLOW_ATPG_STAGES` contains `random`).
@@ -67,6 +70,10 @@ pub struct AtpgOptions {
     pub seed: u64,
     /// Reverse-order compaction of the final pattern set.
     pub compact: bool,
+    /// PPSFP worker threads for the simulation stages
+    /// (`SCFLOW_FAULT_THREADS`; default [`fault_threads`]). The result
+    /// does not depend on it.
+    pub threads: usize,
 }
 
 impl Default for AtpgOptions {
@@ -80,46 +87,8 @@ impl Default for AtpgOptions {
             target_pct: 100.0,
             seed: 0xA7BC_5EED,
             compact: true,
+            threads: fault_threads(),
         }
-    }
-}
-
-impl AtpgOptions {
-    /// Reads `SCFLOW_ATPG_BUDGET`, `SCFLOW_ATPG_STAGES` (a list
-    /// containing `random` and/or `directed`; `all` means both),
-    /// `SCFLOW_ATPG_TARGET`, `SCFLOW_ATPG_RANDOM_MAX` and
-    /// `SCFLOW_ATPG_SEED`, falling back to [`Default`] per knob.
-    pub fn from_env() -> Self {
-        let mut o = AtpgOptions::default();
-        let get = |k: &str| std::env::var(k).ok().map(|s| s.trim().to_string());
-        if let Some(v) = get("SCFLOW_ATPG_BUDGET").and_then(|s| s.parse().ok()) {
-            o.budget = v;
-        }
-        if let Some(v) = get("SCFLOW_ATPG_RANDOM_MAX").and_then(|s| s.parse().ok()) {
-            o.random_max = v;
-        }
-        if let Some(v) = get("SCFLOW_ATPG_TARGET").and_then(|s| s.parse().ok()) {
-            o.target_pct = v;
-        }
-        if let Some(v) = get("SCFLOW_ATPG_SEED").and_then(|s| parse_seed(&s)) {
-            o.seed = v;
-        }
-        if let Some(s) = get("SCFLOW_ATPG_STAGES") {
-            let s = s.to_ascii_lowercase();
-            if s != "all" && !s.is_empty() {
-                o.random = s.contains("random");
-                o.directed = s.contains("directed");
-            }
-        }
-        o
-    }
-}
-
-fn parse_seed(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
     }
 }
 
@@ -287,7 +256,7 @@ pub fn generate_tests(
         };
     };
     let frame = Frame::new(&prog);
-    let threads = fault_threads();
+    let threads = opts.threads;
     let mut classes = vec![FaultClass::Undetected; faults.len()];
     let mut patterns: Vec<ScanPattern> = Vec::new();
     let mut stats = AtpgStats::default();
@@ -834,13 +803,5 @@ mod tests {
                 assert!(cov.detected_mask[0], "fault {i} vs its pattern");
             }
         }
-    }
-
-    #[test]
-    fn options_from_env_roundtrip_defaults() {
-        let d = AtpgOptions::default();
-        assert!(d.random && d.directed && d.compact);
-        assert_eq!(parse_seed("0x10"), Some(16));
-        assert_eq!(parse_seed("7"), Some(7));
     }
 }

@@ -6,18 +6,21 @@
 //! captures one functional cycle, and compares signatures against the
 //! fault-free circuit to measure **fault coverage**.
 //!
-//! [`fault_coverage`] runs **parallel-pattern single-fault propagation**
-//! (PPSFP) on the compiled bit-parallel engine: up to 64 scan patterns
-//! evaluate per pass in the lanes of a [`BitGateSim`], detected faults are
-//! dropped after their first differing batch, and the fault list is
-//! sharded across `std::thread::scope` workers ([`fault_threads`] /
-//! `SCFLOW_FAULT_THREADS`). Every pattern is applied to a freshly reset
-//! circuit, so patterns are independent and the detected-fault set does
-//! not depend on batching or thread count; [`fault_coverage_serial`] is
-//! the one-fault × one-pattern reference on the event-driven simulator
-//! and produces the identical detected set (the differential tests pin
-//! this). Netlists the levelizer rejects (combinational loops) fall back
-//! to the serial reference automatically.
+//! [`fault_coverage_with_threads`] runs **parallel-pattern single-fault
+//! propagation** (PPSFP) on the compiled bit-parallel engine: up to 64
+//! scan patterns evaluate per pass in the lanes of a [`BitGateSim`],
+//! detected faults are dropped after their first differing batch, and the
+//! fault list is sharded across the caller's count of
+//! `std::thread::scope` workers ([`fault_threads`] is the usual
+//! default). Both entry points return their run instrumentation
+//! ([`FaultSimStats`]) with the result. Every pattern is applied to a
+//! freshly reset circuit, so patterns are independent and the
+//! detected-fault set does not depend on batching or thread count;
+//! [`fault_coverage_serial`] is the one-fault × one-pattern reference on
+//! the event-driven simulator and produces the identical detected set
+//! (the differential tests pin this). Netlists the levelizer rejects
+//! (combinational loops) fall back to the serial reference
+//! automatically.
 
 use crate::celllib::{CellKind, CellLibrary};
 use crate::compile::GateProgram;
@@ -351,6 +354,8 @@ pub struct CoverageResult {
     pub detected: usize,
     /// Per-fault detection flags, parallel to the input fault list.
     pub detected_mask: Vec<bool>,
+    /// Run instrumentation: shard timing and the fault-drop-rate curve.
+    pub stats: FaultSimStats,
 }
 
 impl CoverageResult {
@@ -363,11 +368,12 @@ impl CoverageResult {
         }
     }
 
-    fn from_mask(detected_mask: Vec<bool>) -> Self {
+    fn new(detected_mask: Vec<bool>, stats: FaultSimStats) -> Self {
         CoverageResult {
             total: detected_mask.len(),
             detected: detected_mask.iter().filter(|&&d| d).count(),
             detected_mask,
+            stats,
         }
     }
 }
@@ -414,16 +420,6 @@ impl FaultSimStats {
             .collect()
     }
 
-    /// Per-shard wall times folded into a mergeable histogram (for
-    /// display; wall-clock, hence non-deterministic).
-    pub fn shard_wall_histogram(&self) -> scflow_obs::Histogram {
-        let mut h = scflow_obs::Histogram::new();
-        for &ns in &self.shard_wall_ns {
-            h.record(ns);
-        }
-        h
-    }
-
     /// Registers the deterministic quantities under `prefix`
     /// (e.g. `fault.ppsfp`): batch/shard/thread configuration and the
     /// drop-rate curve. Wall times are deliberately not registered.
@@ -437,40 +433,22 @@ impl FaultSimStats {
     }
 }
 
-/// Worker-thread count for PPSFP fault simulation: `SCFLOW_FAULT_THREADS`
-/// if set to a positive integer, else the machine's available parallelism
-/// (`1` runs everything inline, in deterministic serial order — though the
-/// detected-fault set is the same at any thread count, because patterns
-/// are independent).
+/// The default worker-thread count for PPSFP fault simulation and ATPG:
+/// the machine's available parallelism. `1` runs everything inline, in
+/// deterministic serial order — though the detected-fault set is the
+/// same at any thread count, because patterns are independent.
 pub fn fault_threads() -> usize {
-    match std::env::var("SCFLOW_FAULT_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Measures scan-test fault coverage with PPSFP on the compiled
-/// bit-parallel engine, using [`fault_threads`] workers. Falls back to
-/// [`fault_coverage_serial`] if the netlist cannot be levelized.
+/// bit-parallel engine, sharding the fault list across `threads`
+/// workers. Falls back to [`fault_coverage_serial`] if the netlist
+/// cannot be levelized.
 ///
 /// Each pattern is applied to a freshly reset circuit (patterns are
 /// independent), and a fault is dropped after the first pattern batch
 /// that distinguishes it from the fault-free circuit.
-pub fn fault_coverage(
-    nl: &GateNetlist,
-    lib: &CellLibrary,
-    faults: &[FaultSite],
-    patterns: &[ScanPattern],
-) -> CoverageResult {
-    fault_coverage_with_threads(nl, lib, faults, patterns, fault_threads())
-}
-
-/// [`fault_coverage`] with an explicit worker-thread count.
 pub fn fault_coverage_with_threads(
     nl: &GateNetlist,
     lib: &CellLibrary,
@@ -478,57 +456,25 @@ pub fn fault_coverage_with_threads(
     patterns: &[ScanPattern],
     threads: usize,
 ) -> CoverageResult {
-    fault_coverage_instrumented_with_threads(nl, lib, faults, patterns, threads).0
-}
-
-/// [`fault_coverage`] plus run instrumentation: per-shard fault counts
-/// and wall times, and the deterministic fault-drop-rate curve.
-pub fn fault_coverage_instrumented(
-    nl: &GateNetlist,
-    lib: &CellLibrary,
-    faults: &[FaultSite],
-    patterns: &[ScanPattern],
-) -> (CoverageResult, FaultSimStats) {
-    fault_coverage_instrumented_with_threads(nl, lib, faults, patterns, fault_threads())
-}
-
-/// [`fault_coverage_instrumented`] with an explicit worker-thread count.
-pub fn fault_coverage_instrumented_with_threads(
-    nl: &GateNetlist,
-    lib: &CellLibrary,
-    faults: &[FaultSite],
-    patterns: &[ScanPattern],
-    threads: usize,
-) -> (CoverageResult, FaultSimStats) {
     match GateProgram::compile(nl) {
         Ok(prog) => ppsfp(&prog, faults, patterns, threads),
         // Combinational loops need the event-driven delay semantics.
-        Err(_) => serial_instrumented(nl, lib, faults, patterns),
+        Err(_) => fault_coverage_serial(nl, lib, faults, patterns),
     }
 }
 
 /// The serial reference: every fault is injected in turn on the
 /// event-driven [`GateSim`] and tested one pattern at a time until
 /// detected, each pattern on a freshly reset circuit. Produces the same
-/// detected-fault set as [`fault_coverage`], slowly.
+/// detected-fault set as [`fault_coverage_with_threads`], slowly. Its
+/// drop-rate curve has one bucket per pattern (batch size 1) and a
+/// single shard.
 pub fn fault_coverage_serial(
     nl: &GateNetlist,
     lib: &CellLibrary,
     faults: &[FaultSite],
     patterns: &[ScanPattern],
 ) -> CoverageResult {
-    serial_instrumented(nl, lib, faults, patterns).0
-}
-
-/// [`fault_coverage_serial`] plus instrumentation. The serial engine
-/// tests one pattern at a time, so its drop-rate curve has one bucket
-/// per pattern (batch size 1) and a single shard.
-fn serial_instrumented(
-    nl: &GateNetlist,
-    lib: &CellLibrary,
-    faults: &[FaultSite],
-    patterns: &[ScanPattern],
-) -> (CoverageResult, FaultSimStats) {
     let t0 = std::time::Instant::now();
     let mut sim = GateSim::new(nl, lib);
     let golden: Vec<TestSignature> = patterns
@@ -560,7 +506,7 @@ fn serial_instrumented(
         shard_wall_ns: vec![t0.elapsed().as_nanos() as u64],
         drop_curve,
     };
-    (CoverageResult::from_mask(detected_mask), stats)
+    CoverageResult::new(detected_mask, stats)
 }
 
 /// Runs one fault shard. Each slot records the fault's first differing
@@ -600,7 +546,7 @@ fn ppsfp(
     faults: &[FaultSite],
     patterns: &[ScanPattern],
     threads: usize,
-) -> (CoverageResult, FaultSimStats) {
+) -> CoverageResult {
     let n_batches = patterns.len().div_ceil(64);
     if faults.is_empty() || patterns.is_empty() {
         let stats = FaultSimStats {
@@ -611,7 +557,7 @@ fn ppsfp(
             shard_wall_ns: Vec::new(),
             drop_curve: vec![0; n_batches],
         };
-        return (CoverageResult::from_mask(vec![false; faults.len()]), stats);
+        return CoverageResult::new(vec![false; faults.len()], stats);
     }
     let batches: Vec<&[ScanPattern]> = patterns.chunks(64).collect();
     let golden: Vec<Vec<(u64, u64)>> = {
@@ -670,7 +616,7 @@ fn ppsfp(
         shard_wall_ns,
         drop_curve,
     };
-    (CoverageResult::from_mask(detected_mask), stats)
+    CoverageResult::new(detected_mask, stats)
 }
 
 #[cfg(test)]
@@ -733,7 +679,7 @@ mod tests {
         let lib = CellLibrary::generic_025u();
         let faults = all_fault_sites(&nl);
         let patterns = random_patterns(&nl, 16, 3);
-        let result = fault_coverage(&nl, &lib, &faults, &patterns);
+        let result = fault_coverage_with_threads(&nl, &lib, &faults, &patterns, 2);
         assert_eq!(result.total, 2 * nl.instances().len());
         assert!(
             result.coverage_pct() > 80.0,
@@ -747,7 +693,7 @@ mod tests {
         let nl = small_design();
         let lib = CellLibrary::generic_025u();
         let faults = all_fault_sites(&nl);
-        let result = fault_coverage(&nl, &lib, &faults, &[]);
+        let result = fault_coverage_with_threads(&nl, &lib, &faults, &[], 2);
         assert_eq!(result.detected, 0);
     }
 
@@ -777,10 +723,9 @@ mod tests {
         let lib = CellLibrary::generic_025u();
         let faults = all_fault_sites(&nl);
         let patterns = random_patterns(&nl, 70, 11);
-        let (r1, s1) =
-            fault_coverage_instrumented_with_threads(&nl, &lib, &faults, &patterns, 1);
-        let (r4, s4) =
-            fault_coverage_instrumented_with_threads(&nl, &lib, &faults, &patterns, 4);
+        let r1 = fault_coverage_with_threads(&nl, &lib, &faults, &patterns, 1);
+        let r4 = fault_coverage_with_threads(&nl, &lib, &faults, &patterns, 4);
+        let (s1, s4) = (&r1.stats, &r4.stats);
         assert_eq!(s1.engine, "ppsfp");
         assert_eq!(s1.batches, 2);
         assert_eq!(s1.drop_curve.iter().sum::<usize>(), r1.detected);
@@ -861,8 +806,8 @@ mod tests {
         let faults = all_fault_sites(&nl);
         let collapsed = collapse_faults(&nl, &faults);
         let patterns = random_patterns(&nl, 24, 17);
-        let full = fault_coverage(&nl, &lib, &faults, &patterns);
-        let reps = fault_coverage(&nl, &lib, &collapsed.faults, &patterns);
+        let full = fault_coverage_with_threads(&nl, &lib, &faults, &patterns, 2);
+        let reps = fault_coverage_with_threads(&nl, &lib, &collapsed.faults, &patterns, 2);
         assert_eq!(
             collapsed.expand_mask(&reps.detected_mask),
             full.detected_mask,

@@ -14,7 +14,8 @@
 
 use scflow_gate::atpg::exhaustive_frame_detectable;
 use scflow_gate::fault::{
-    all_fault_sites, collapse_faults, fault_coverage, fault_coverage_serial,
+    all_fault_sites, collapse_faults, fault_coverage_serial, fault_coverage_with_threads,
+    fault_threads,
 };
 use scflow_gate::gen::{generate, GenKind, GenParams, Redundancy};
 use scflow_gate::{
@@ -54,7 +55,8 @@ fn patterns_detect_on_both_engines_across_families() {
 
         // PPSFP replay over the full collapsed list: the detected set of
         // the emitted patterns must include every Detected verdict.
-        let ppsfp = fault_coverage(&nl, &lib, &collapsed.faults, &r.patterns);
+        let ppsfp =
+            fault_coverage_with_threads(&nl, &lib, &collapsed.faults, &r.patterns, fault_threads());
         for (i, class) in r.classes.iter().enumerate() {
             if matches!(class, FaultClass::Detected { .. }) {
                 assert!(

@@ -49,17 +49,6 @@ impl PassConfig {
         }
     }
 
-    /// Reads `SCFLOW_OPT` (an integer level; unset, empty or unparsable
-    /// values mean level 0).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let level = std::env::var("SCFLOW_OPT")
-            .ok()
-            .and_then(|v| v.trim().parse::<u8>().ok())
-            .unwrap_or(0);
-        PassConfig::for_level(level)
-    }
-
     /// `true` if any pass runs.
     #[must_use]
     pub fn any(&self) -> bool {

@@ -47,26 +47,6 @@ pub use coverage::ToggleCoverage;
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsRegistry, SharedHistogram};
 pub use profile::{Profiler, Span};
 
-/// `true` if the `SCFLOW_METRICS` environment variable asks for metric
-/// collection (`1`, `true`, `on` or `yes`, case-insensitive).
-pub fn metrics_enabled() -> bool {
-    env_flag("SCFLOW_METRICS")
-}
-
-/// `true` if the `SCFLOW_PROFILE` environment variable asks for phase
-/// profiling (`1`, `true`, `on` or `yes`, case-insensitive).
-pub fn profile_enabled() -> bool {
-    env_flag("SCFLOW_PROFILE")
-}
-
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| {
-        ["1", "true", "on", "yes"]
-            .iter()
-            .any(|t| v.eq_ignore_ascii_case(t))
-    })
-}
-
 /// Renders a complete `METRICS.json` document: the deterministic
 /// metrics object plus, when given, the (wall-clock, hence
 /// non-deterministic) profile span array.

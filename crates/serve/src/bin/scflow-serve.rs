@@ -8,14 +8,17 @@
 //! ```
 //!
 //! Knobs (see `ServeOptions::from_env`): `SCFLOW_SERVE_ADDR`,
-//! `SCFLOW_SERVE_THREADS`, `SCFLOW_CACHE_CAP`. Diagnostics go to
-//! stderr; stdout carries only protocol replies.
+//! `SCFLOW_SERVE_THREADS`, `SCFLOW_CACHE_CAP`; an unparsable value exits
+//! 2. Diagnostics go to stderr; stdout carries only protocol replies.
 
 use scflow::prelude::ServeOptions;
 use scflow_serve::Server;
 
 fn main() {
-    let mut opts = ServeOptions::from_env();
+    let mut opts = ServeOptions::from_env().unwrap_or_else(|e| {
+        eprintln!("scflow-serve: {e}");
+        std::process::exit(2);
+    });
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {

@@ -184,10 +184,8 @@ impl Server {
             .get("coverage")
             .and_then(Json::as_bool)
             .unwrap_or(false);
-        // Optional pass level (0..=2). Absent, the server-wide
-        // `SCFLOW_OPT` knob decides; present, the request wins — so
-        // concurrent sessions can run the same design at different
-        // levels without touching the environment.
+        // Optional pass level (0..=2, absent = 0): the request alone
+        // decides, so a reply depends only on the request bytes.
         let passes = match req.get("opt").and_then(Json::as_i64) {
             Some(l) if (0..=2).contains(&l) => {
                 scflow_hwtypes::PassConfig::for_level(l as u8)
@@ -195,7 +193,7 @@ impl Server {
             Some(_) => {
                 return self.err(id, "bad_request", "field `opt` must be 0, 1 or 2");
             }
-            None => scflow_hwtypes::PassConfig::from_env(),
+            None => scflow_hwtypes::PassConfig::off(),
         };
         match self.mgr.open(design, engine, coverage, &passes) {
             Ok((sid, outcome, content_hash)) => ok(

@@ -262,6 +262,29 @@ fn engine_panic_is_a_reply_not_a_crash() {
 }
 
 #[test]
+fn absent_opt_means_level_zero() {
+    // The pass level comes from the request alone: an open without
+    // `"opt"` is the same artifact as `"opt":0`, whatever the server's
+    // environment holds, so the second open is a cache hit.
+    let s = server();
+    let field = |reply: &str, name: &str| {
+        let tag = format!(r#""{name}":""#);
+        let start = reply.find(&tag).expect(name) + tag.len();
+        let end = reply[start..].find('"').unwrap() + start;
+        reply[start..end].to_owned()
+    };
+    let bare = s.handle_line(
+        r#"{"id":1,"op":"open_session","design":"rtl_opt","engine":"rtl.compiled"}"#,
+    );
+    let zero = s.handle_line(
+        r#"{"id":2,"op":"open_session","design":"rtl_opt","engine":"rtl.compiled","opt":0}"#,
+    );
+    assert_eq!(field(&bare, "cache"), "miss", "{bare}");
+    assert_eq!(field(&zero, "cache"), "hit", "{zero}");
+    assert_eq!(field(&bare, "content_hash"), field(&zero, "content_hash"));
+}
+
+#[test]
 fn server_busy_when_the_pool_is_full() {
     let s = Server::new(&ServeOptions {
         addr: None,

@@ -59,7 +59,8 @@ fn main() {
     }
 
     // Synthesisable levels, validated by interpreted RTL simulation.
-    validate_all_levels(&cfg, &input).expect("synthesisable levels bit-accurate");
+    validate_all_levels(SimEngine::Interpreted, &PassConfig::off(), &cfg, &input)
+        .expect("synthesisable levels bit-accurate");
     println!("  [bit-accurate] all synthesisable variants (BEH x2, RTL x3, VHDL ref)\n");
 
     // Synthesis and the Figure 10 table.

@@ -13,7 +13,9 @@
 
 use scflow::models::rtl::{build_rtl_src, RtlVariant};
 use scflow::SrcConfig;
-use scflow_gate::fault::{all_fault_sites, fault_coverage, random_patterns};
+use scflow_gate::fault::{
+    all_fault_sites, fault_coverage_with_threads, fault_threads, random_patterns,
+};
 use scflow_gate::CellLibrary;
 use scflow_synth::rtl::{synthesize, SynthOptions};
 
@@ -43,7 +45,7 @@ fn main() {
         patterns.len()
     );
 
-    let result = fault_coverage(&netlist, &lib, &sampled, &patterns);
+    let result = fault_coverage_with_threads(&netlist, &lib, &sampled, &patterns, fault_threads());
     println!(
         "detected {}/{} -> {:.1}% sampled fault coverage",
         result.detected,

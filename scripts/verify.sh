@@ -21,6 +21,17 @@ if cargo tree --workspace --offline --prefix none --edges normal,build \
 fi
 echo "ok: only scflow-* path crates"
 
+echo "== environment read only at the edges =="
+# Library code takes its options as values. Only the option parsers in
+# crates/core/src/flow.rs, the binaries (crates/*/src/bin/), the bench
+# crate and testkit may read process environment.
+if grep -rnE 'env::var' --include='*.rs' crates/*/src \
+    | grep -vE '^crates/([^/]+/src/bin/|bench/|testkit/|core/src/flow\.rs:)'; then
+    echo "error: environment read in library code (pass an option instead)" >&2
+    exit 1
+fi
+echo "ok: no env::var in library crates"
+
 echo "== tables smoke run =="
 cargo run --release --offline -p scflow-bench --bin tables -- --fig8
 
